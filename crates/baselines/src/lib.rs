@@ -41,17 +41,6 @@ pub use tensor::QubitMatrices;
 
 pub use qufem_core::{MethodOptions, MethodRegistry, Mitigator, PreparedMitigator};
 
-/// Former name of the shared method trait, which used to live in this
-/// crate. The trait moved *upstream* into `qufem-core` (as
-/// [`qufem_core::Mitigator`]) so the serve daemon and plan cache can host
-/// any method without depending on the baselines; see CHANGELOG.md.
-#[deprecated(
-    since = "0.2.0",
-    note = "the trait moved to qufem_core::Mitigator (calibrate → the trait's default \
-            prepare+apply; characterization_circuits → n_benchmark_circuits)"
-)]
-pub use qufem_core::Mitigator as Calibrator;
-
 use qufem_core::{EngineStats, QuFemConfig};
 use qufem_types::{Error, ProbDist, Result};
 use std::fmt;

@@ -249,18 +249,24 @@ pub struct IterationPlan {
 impl IterationPlan {
     /// Resolves `groups` against `measured_positions` (ascending global
     /// qubit indices, one per distribution bit) into an executable plan.
+    /// `groups` is any sequence of matrix references — a `&[GroupMatrix]`,
+    /// or references into a matrix memo shared by many plans.
     ///
     /// # Panics
     ///
     /// Panics if a group references a qubit outside `measured_positions`.
-    pub fn build(measured_positions: &[usize], groups: &[GroupMatrix], beta: f64) -> Self {
+    pub fn build<'a>(
+        measured_positions: &[usize],
+        groups: impl IntoIterator<Item = &'a GroupMatrix>,
+        beta: f64,
+    ) -> Self {
         let _span = qufem_telemetry::span!("plan-build");
         IterationPlan {
             width: measured_positions.len(),
             beta,
             scaled_floor: beta * ABS_FLOOR_RATIO,
             groups: groups
-                .iter()
+                .into_iter()
                 .map(|gm| GroupPlan::from_matrix(gm, measured_positions))
                 .collect(),
         }

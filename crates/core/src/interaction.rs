@@ -1,7 +1,6 @@
 //! Quantifying qubit interactions from benchmarking data (paper Eq. 8–9, 12).
 
 use crate::snapshot::{BenchmarkSnapshot, IdealCondition};
-use std::collections::HashMap;
 
 /// Accumulator of readout-error statistics conditioned on one qubit's state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,13 +48,48 @@ pub struct HotInteraction {
 /// (paper Eq. 8) together with `num`, the number of benchmarking circuits
 /// that observed the combination, from which `θ = interact / num` (Eq. 12)
 /// and the pairwise graph weights (Eq. 9) are derived.
+///
+/// Both accumulator sets are dense arrays indexed by qubit and condition
+/// (`2·n` base cells, `6·n²` conditional cells — 1.8 MB at 136 qubits), so
+/// folding a record is plain indexed arithmetic and every read, including
+/// [`InteractionTable::average_interact`], walks a fixed index order.
 #[derive(Debug, Clone)]
 pub struct InteractionTable {
     n_qubits: usize,
-    /// `P(q.ef = 1 | q.ideal = y)` accumulators, keyed by `(q, y)`.
-    base: HashMap<(usize, bool), ErrorStat>,
-    /// Conditional accumulators keyed by `(source, source_state, target, target_state)`.
-    cond: HashMap<(usize, IdealCondition, usize, bool), ErrorStat>,
+    /// `P(q.ef = 1 | q.ideal = y)` accumulators at [`base_index`]`(q, y)`.
+    base: Vec<ErrorStat>,
+    /// Conditional accumulators at
+    /// [`cond_index`]`(n, source, source_state, target, target_state)`.
+    cond: Vec<ErrorStat>,
+}
+
+/// The three source conditions, in their dense-index order.
+const STATES: [IdealCondition; 3] =
+    [IdealCondition::Zero, IdealCondition::One, IdealCondition::Unmeasured];
+
+fn state_index(x: IdealCondition) -> usize {
+    match x {
+        IdealCondition::Zero => 0,
+        IdealCondition::One => 1,
+        IdealCondition::Unmeasured => 2,
+    }
+}
+
+fn base_index(target: usize, target_state: bool) -> usize {
+    2 * target + target_state as usize
+}
+
+/// Conditional cells are laid out `[target][target_state][source][x]`, so
+/// the per-target source sweep of [`InteractionTable::add_record`] touches
+/// one contiguous `3·n` row.
+fn cond_index(
+    n: usize,
+    source: usize,
+    source_state: IdealCondition,
+    target: usize,
+    target_state: bool,
+) -> usize {
+    (base_index(target, target_state) * n + source) * 3 + state_index(source_state)
 }
 
 impl InteractionTable {
@@ -64,7 +98,11 @@ impl InteractionTable {
     /// benchmark generator relies on this to avoid rescanning the whole
     /// snapshot every round.
     pub fn new(n_qubits: usize) -> Self {
-        InteractionTable { n_qubits, base: HashMap::new(), cond: HashMap::new() }
+        InteractionTable {
+            n_qubits,
+            base: vec![ErrorStat::default(); 2 * n_qubits],
+            cond: vec![ErrorStat::default(); 6 * n_qubits * n_qubits],
+        }
     }
 
     /// Builds the table by scanning every record in the snapshot once.
@@ -73,11 +111,13 @@ impl InteractionTable {
         for record in snapshot.records() {
             table.add_record(record);
         }
-        qufem_telemetry::gauge_max(
-            "interaction.table_entries",
-            (table.base.len() + table.cond.len()) as f64,
-        );
+        qufem_telemetry::gauge_max("interaction.table_entries", table.observed_cells() as f64);
         table
+    }
+
+    /// Number of accumulator cells that have observed at least one circuit.
+    fn observed_cells(&self) -> usize {
+        self.base.iter().chain(&self.cond).filter(|s| s.count > 0).count()
     }
 
     /// Folds one benchmarking record into the accumulators.
@@ -89,28 +129,30 @@ impl InteractionTable {
         let n = self.n_qubits;
         assert_eq!(record.circuit().width(), n, "record width must match the table");
         // Per-record source conditions, computed once.
-        let source_states: Vec<IdealCondition> = (0..n)
+        let source_states: Vec<usize> = (0..n)
             .map(|q| {
                 let op = record.circuit().op(q);
-                if op.is_measured() {
+                state_index(if op.is_measured() {
                     IdealCondition::measured(op.ideal_bit())
                 } else {
                     IdealCondition::Unmeasured
-                }
+                })
             })
             .collect();
 
         for &target in record.positions() {
             let ef = record.error_prob_of(target).expect("positions() only lists measured qubits");
             let y = record.circuit().op(target).ideal_bit();
-            let b = self.base.entry((target, y)).or_default();
+            let b = &mut self.base[base_index(target, y)];
             b.sum += ef;
             b.count += 1;
+            let row_start = cond_index(n, 0, IdealCondition::Zero, target, y);
+            let row = &mut self.cond[row_start..row_start + 3 * n];
             for (source, &x) in source_states.iter().enumerate() {
                 if source == target {
                     continue;
                 }
-                let c = self.cond.entry((source, x, target, y)).or_default();
+                let c = &mut row[3 * source + x];
                 c.sum += ef;
                 c.count += 1;
             }
@@ -122,8 +164,24 @@ impl InteractionTable {
         self.n_qubits
     }
 
+    fn cond_stat(
+        &self,
+        source: usize,
+        source_state: IdealCondition,
+        target: usize,
+        target_state: bool,
+    ) -> &ErrorStat {
+        // An out-of-range source would alias a neighbouring row, not fail.
+        assert!(source < self.n_qubits && target < self.n_qubits, "qubit index out of range");
+        &self.cond[cond_index(self.n_qubits, source, source_state, target, target_state)]
+    }
+
     /// The interaction strength of paper Eq. 8, or `None` if the combination
     /// was never observed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` or `target` is not a device qubit.
     pub fn interact(
         &self,
         source: usize,
@@ -131,12 +189,16 @@ impl InteractionTable {
         target: usize,
         target_state: bool,
     ) -> Option<f64> {
-        let cond = self.cond.get(&(source, source_state, target, target_state))?.mean()?;
-        let base = self.base.get(&(target, target_state))?.mean()?;
+        let cond = self.cond_stat(source, source_state, target, target_state).mean()?;
+        let base = self.base[base_index(target, target_state)].mean()?;
         Some((cond - base).abs())
     }
 
     /// The number of circuits observing the combination (`num` of Eq. 12).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` or `target` is not a device qubit.
     pub fn num(
         &self,
         source: usize,
@@ -144,14 +206,12 @@ impl InteractionTable {
         target: usize,
         target_state: bool,
     ) -> usize {
-        self.cond.get(&(source, source_state, target, target_state)).map_or(0, |s| s.count)
+        self.cond_stat(source, source_state, target, target_state).count
     }
 
     /// The pairwise graph weight of paper Eq. 9: the sum of all interaction
     /// strengths in both directions over `x ∈ {0, 1, ∅}`, `y ∈ {0, 1}`.
     pub fn weight(&self, a: usize, b: usize) -> f64 {
-        const STATES: [IdealCondition; 3] =
-            [IdealCondition::Zero, IdealCondition::One, IdealCondition::Unmeasured];
         let mut w = 0.0;
         for &(src, dst) in &[(a, b), (b, a)] {
             for &x in &STATES {
@@ -171,8 +231,6 @@ impl InteractionTable {
     /// with `θ = ∞` so they are always sampled first.
     pub fn hot_interactions(&self, alpha: f64) -> Vec<HotInteraction> {
         let mut hot = Vec::new();
-        const STATES: [IdealCondition; 3] =
-            [IdealCondition::Zero, IdealCondition::One, IdealCondition::Unmeasured];
         for source in 0..self.n_qubits {
             for target in 0..self.n_qubits {
                 if source == target {
@@ -213,13 +271,14 @@ impl InteractionTable {
 
     /// Average interaction strength across all observed combinations — the
     /// `interact` scale parameter of the paper's complexity analysis (§5).
+    /// Sums in dense-index order, so the value is bit-reproducible.
     pub fn average_interact(&self) -> f64 {
+        let n = self.n_qubits;
         let mut sum = 0.0;
         let mut count = 0usize;
-        for (&(_, _, target, y), stat) in &self.cond {
-            if let (Some(c), Some(b)) =
-                (stat.mean(), self.base.get(&(target, y)).and_then(|s| s.mean()))
-            {
+        for (i, stat) in self.cond.iter().enumerate() {
+            // Row `i / (3n)` is the (target, target_state) base cell.
+            if let (Some(c), Some(b)) = (stat.mean(), self.base[i / (3 * n)].mean()) {
                 sum += (c - b).abs();
                 count += 1;
             }
@@ -327,6 +386,35 @@ mod tests {
     fn average_interact_nonnegative() {
         let table = InteractionTable::build(&crosstalk_snapshot());
         assert!(table.average_interact() >= 0.0);
+    }
+
+    #[test]
+    fn average_interact_is_bit_reproducible() {
+        // Thousands of observed cells: a sum over hash-map iteration order
+        // would differ between two builds in the last bits.
+        let device = qufem_device::presets::quafu_18(0);
+        let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(2);
+        let snap = crate::benchgen::generate_random_budget(&device, 40, 200, &mut rng);
+        let a = InteractionTable::build(&snap);
+        let b = InteractionTable::build(&snap);
+        assert!(a.observed_cells() > 1000);
+        assert_eq!(a.average_interact().to_bits(), b.average_interact().to_bits());
+    }
+
+    #[test]
+    fn observed_cells_count_only_seen_combinations() {
+        let table = InteractionTable::build(&crosstalk_snapshot());
+        // Three base cells (q0 prepared |0⟩; q1 prepared |0⟩ and |1⟩) and
+        // four conditional cells, one per (record, target): all distinct.
+        assert_eq!(table.observed_cells(), 3 + 4);
+        assert_eq!(InteractionTable::new(3).observed_cells(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_source_panics() {
+        let table = InteractionTable::build(&crosstalk_snapshot());
+        let _ = table.num(2, IdealCondition::Zero, 0, false);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! quantification (Eq. 8) and the sub-noise-matrix generation (Eq. 11).
 
 use qufem_device::{BenchmarkCircuit, QubitOp};
-use qufem_types::{ProbDist, QubitSet};
+use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
 use serde::{Deserialize, Serialize};
 
 /// A condition on the *ideal* (prepared) state of one qubit, following the
@@ -71,8 +71,36 @@ impl BenchmarkRecord {
             positions.len(),
             "distribution width must equal the number of measured qubits"
         );
-        let marginal_one = compute_marginals(&dist);
+        let marginal_one = dist_marginals(&dist);
         BenchmarkRecord { circuit, positions, dist, marginal_one }
+    }
+
+    /// Pairs a circuit with a distribution held as an engine
+    /// [`SupportIndex`] — the form the Eq. 7 self-calibration produces.
+    /// Equal, bit for bit, to `BenchmarkRecord::new(circuit,
+    /// support.to_dist())`: the marginals are summed over the same sorted
+    /// key order, read straight from the packed key words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index width differs from the circuit's measured qubit
+    /// count.
+    pub fn from_support(circuit: BenchmarkCircuit, support: &SupportIndex) -> Self {
+        let positions: Vec<usize> = circuit.measured_qubits().iter().collect();
+        assert_eq!(
+            support.width(),
+            positions.len(),
+            "distribution width must equal the number of measured qubits"
+        );
+        let mut order: Vec<u32> = (0..support.len() as u32).collect();
+        // Width-equal keys compare as word slices exactly as `BitString`'s
+        // `Ord` does; interned keys are distinct, so unstable is stable here.
+        order.sort_unstable_by(|&a, &b| support.key_words(a).cmp(support.key_words(b)));
+        let marginal_one = sorted_marginals(
+            support.width(),
+            order.iter().map(|&id| (support.key_words(id), support.value(id))),
+        );
+        BenchmarkRecord { circuit, positions, dist: support.to_dist(), marginal_one }
     }
 
     /// The benchmarking circuit.
@@ -103,7 +131,7 @@ impl BenchmarkRecord {
     /// Panics if the width changes.
     pub fn set_dist(&mut self, dist: ProbDist) {
         assert_eq!(dist.width(), self.positions.len(), "record width cannot change");
-        self.marginal_one = compute_marginals(&dist);
+        self.marginal_one = dist_marginals(&dist);
         self.dist = dist;
     }
 
@@ -143,7 +171,7 @@ impl BenchmarkRecord {
             group_qubits.iter().map(|&q| self.positions.binary_search(&q).ok()).collect();
         let local = local?;
         let mut joint = vec![0.0; 1usize << local.len()];
-        for (key, v) in self.dist.sorted_pairs() {
+        for (key, v) in self.dist.sorted_refs() {
             let mut idx = 0usize;
             for (k, &pos) in local.iter().enumerate() {
                 idx |= (key.get(pos) as usize) << k;
@@ -172,13 +200,18 @@ impl BenchmarkRecord {
     }
 }
 
-fn compute_marginals(dist: &ProbDist) -> Vec<f64> {
-    let m = dist.width();
-    let mut acc = vec![0.0; m];
-    // Sorted order: hash-map iteration would make the float sums (and hence
-    // downstream partitioning decisions) nondeterministic at the ULP level.
-    for (key, v) in dist.sorted_pairs() {
-        for k in key.iter_ones() {
+fn dist_marginals(dist: &ProbDist) -> Vec<f64> {
+    sorted_marginals(dist.width(), dist.sorted_refs().into_iter().map(|(k, v)| (k.as_words(), v)))
+}
+
+/// Per-bit `P(bit = 1)` of a distribution given as `(packed key, value)`
+/// entries, clamped to `[0, 1]`. Entries must arrive in sorted key order:
+/// hash-map iteration would make the float sums (and hence downstream
+/// partitioning decisions) nondeterministic at the ULP level.
+fn sorted_marginals<'a>(width: usize, entries: impl Iterator<Item = (&'a [u64], f64)>) -> Vec<f64> {
+    let mut acc = vec![0.0; width];
+    for (words, v) in entries {
+        for k in BitString::ones_in_words(words) {
             acc[k] += v;
         }
     }

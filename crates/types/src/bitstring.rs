@@ -249,7 +249,24 @@ impl BitString {
 
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.width).filter(|&i| self.get(i))
+        Self::ones_in_words(&self.words)
+    }
+
+    /// Iterator over the set-bit indices of packed words (the
+    /// [`BitString::as_words`] layout), ascending. Walks each word with
+    /// `trailing_zeros`, so the cost is one step per set bit plus one per
+    /// word — the form the engine's raw word keys are read in.
+    pub fn ones_in_words(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * WORD_BITS + bit
+                })
+            })
+        })
     }
 
     /// Iterator over all bits as booleans, ascending index.

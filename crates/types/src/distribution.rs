@@ -362,9 +362,15 @@ impl ProbDist {
     /// Entries sorted by bit-string order — use when deterministic iteration
     /// matters (sampling, display, tests).
     pub fn sorted_pairs(&self) -> Vec<(BitString, f64)> {
-        let mut pairs: Vec<(BitString, f64)> =
-            self.entries.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        self.sorted_refs().into_iter().map(|(k, v)| (k.clone(), v)).collect()
+    }
+
+    /// [`ProbDist::sorted_pairs`] without cloning the keys: the same
+    /// entries in the same order, borrowed.
+    pub fn sorted_refs(&self) -> Vec<(&BitString, f64)> {
+        let mut pairs: Vec<(&BitString, f64)> = self.entries.iter().map(|(k, &v)| (k, v)).collect();
+        // Keys are distinct, so the unstable sort yields the stable order.
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         pairs
     }
 

@@ -107,7 +107,7 @@ impl SupportIndex {
     /// stored entry is carried over bit-for-bit, including exact zeros.
     pub fn from_dist(dist: &ProbDist) -> Self {
         let mut index = Self::with_capacity(dist.width(), dist.support_len());
-        for (key, value) in dist.sorted_pairs() {
+        for (key, value) in dist.sorted_refs() {
             let id = index.intern(key.as_words());
             index.values[id as usize] = value;
         }
@@ -119,7 +119,7 @@ impl SupportIndex {
     /// calibration methods (M3, IBU, QuFEM's sharded engine input).
     pub fn positive_from_dist(dist: &ProbDist) -> Self {
         let mut index = Self::with_capacity(dist.width(), dist.support_len());
-        for (key, value) in dist.sorted_pairs() {
+        for (key, value) in dist.sorted_refs() {
             if value > 0.0 {
                 let id = index.intern(key.as_words());
                 index.values[id as usize] = value;

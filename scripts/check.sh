@@ -31,6 +31,8 @@ echo "==> QUFEM_THREADS matrix: characterization pipeline must be bit-identical"
 for t in 1 4; do
   echo "==> QUFEM_THREADS=$t cargo test -q -p qufem-core --test characterize_parallel"
   QUFEM_THREADS="$t" cargo test -q -p qufem-core --test characterize_parallel
+  echo "==> QUFEM_THREADS=$t cargo test -q -p qufem-core --test characterize_golden"
+  QUFEM_THREADS="$t" cargo test -q -p qufem-core --test characterize_golden
 done
 
 echo "==> QUFEM_THREADS matrix: served responses must match in-process calibration"

@@ -60,10 +60,6 @@ pub use qufem_core::{
 };
 pub use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
 
-/// Former name of the method trait, kept for one release.
-#[deprecated(since = "0.2.0", note = "use qufem::Mitigator (the trait moved into qufem-core)")]
-pub use qufem_core::Mitigator as Calibrator;
-
 /// Readout-calibration baselines (golden, IBU, M3, CTMP, Q-BEEP).
 pub mod baselines {
     pub use qufem_baselines::*;

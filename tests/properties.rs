@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use qufem::linalg::Matrix;
-use qufem::{BitString, ProbDist, QubitSet, SupportIndex};
+use qufem::{BenchmarkRecord, BitString, ProbDist, QubitSet, SupportIndex};
 use std::collections::HashSet;
 
 fn arb_bitstring(width: usize) -> impl Strategy<Value = BitString> {
@@ -148,6 +148,36 @@ proptest! {
         for id in 0..canonical.len() as u32 {
             prop_assert_eq!(idx.key_words(id), canonical.key_words(id));
             prop_assert_eq!(idx.value(id).to_bits(), canonical.value(id).to_bits());
+        }
+    }
+
+    #[test]
+    fn iter_ones_matches_per_bit_reference(
+        bits in proptest::collection::vec(any::<bool>(), 0..200),
+    ) {
+        let s = BitString::from_bits(&bits);
+        let reference: Vec<usize> = (0..s.width()).filter(|&i| s.get(i)).collect();
+        prop_assert_eq!(s.iter_ones().collect::<Vec<_>>(), reference);
+    }
+
+    #[test]
+    fn record_from_support_matches_record_from_dist(p in arb_quasi_dist(70, 24)) {
+        // The characterization flow rebuilds records straight from the
+        // engine's index (interned in arbitrary order); the result must
+        // equal the ProbDist path bit for bit, marginals included.
+        let mut idx = SupportIndex::new(p.width());
+        for (k, v) in p.iter() {
+            idx.accumulate(k.as_words(), v);
+        }
+        let circuit = qufem::device::BenchmarkCircuit::all_prepared(&BitString::zeros(70));
+        let a = BenchmarkRecord::from_support(circuit.clone(), &idx);
+        let b = BenchmarkRecord::new(circuit, idx.to_dist());
+        prop_assert_eq!(a.dist(), b.dist());
+        for q in 0..70 {
+            prop_assert_eq!(
+                a.marginal_one_of(q).unwrap().to_bits(),
+                b.marginal_one_of(q).unwrap().to_bits()
+            );
         }
     }
 
