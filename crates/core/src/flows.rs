@@ -16,7 +16,7 @@ use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pruning floor applied while self-calibrating the benchmarking
@@ -28,13 +28,6 @@ use std::time::Instant;
 /// per benchmark string even when the user requests an effectively unpruned
 /// *calibration* flow.
 const MIN_CHARACTERIZATION_BETA: f64 = 1e-3;
-
-/// Default cap on the number of measured sets whose prepared calibrations a
-/// [`QuFem`] memoizes (see [`QuFem::prepared`]). When a workload cycles
-/// through more distinct sets than this, the memo is cleared rather than
-/// grown without bound. Tunable per instance via
-/// [`QuFem::set_prepared_memo_cap`].
-pub const DEFAULT_PREPARED_MEMO_CAP: usize = 32;
 
 /// The static calibration parameters of one iteration: the grouping scheme
 /// `G_i` and the benchmarking distributions `BP_i` (paper Algorithm 1's
@@ -98,13 +91,6 @@ pub struct QuFem {
     iterations: Vec<IterationParams>,
     benchgen_report: Option<BenchGenReport>,
     characterization_engine_stats: EngineStats,
-    /// Prepared calibrations per measured set, built on first use and
-    /// shared across clones (plan construction is deterministic, so
-    /// serving a memoized plan cannot change any output bit).
-    prepared_memo: Arc<Mutex<HashMap<QubitSet, Arc<PreparedCalibration>>>>,
-    /// Memo size cap, shared across clones like the memo itself so a tune
-    /// on one handle governs every holder of the same memo.
-    prepared_memo_cap: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl QuFem {
@@ -122,10 +108,6 @@ impl QuFem {
             iterations,
             benchgen_report,
             characterization_engine_stats: EngineStats::default(),
-            prepared_memo: Arc::new(Mutex::new(HashMap::new())),
-            prepared_memo_cap: Arc::new(std::sync::atomic::AtomicUsize::new(
-                DEFAULT_PREPARED_MEMO_CAP,
-            )),
         }
     }
 
@@ -353,10 +335,6 @@ impl QuFem {
             iterations,
             benchgen_report: None,
             characterization_engine_stats: stats,
-            prepared_memo: Arc::new(Mutex::new(HashMap::new())),
-            prepared_memo_cap: Arc::new(std::sync::atomic::AtomicUsize::new(
-                DEFAULT_PREPARED_MEMO_CAP,
-            )),
         })
     }
 
@@ -441,46 +419,6 @@ impl QuFem {
         Ok(PreparedCalibration { width: positions.len(), plans, arenas })
     }
 
-    /// The memo cap currently in force for [`QuFem::prepared`].
-    pub fn prepared_memo_cap(&self) -> usize {
-        self.prepared_memo_cap.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Tunes the [`QuFem::prepared`] memo cap (clamped to at least 1). The
-    /// cap is shared across clones, so tuning a served instance takes effect
-    /// on every handle. Sizing: each entry holds one full prepared plan set,
-    /// so budget roughly `distinct measured sets per tenant × tenants
-    /// sharing this instance`.
-    pub fn set_prepared_memo_cap(&self, cap: usize) {
-        self.prepared_memo_cap.store(cap.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// A shared prepared calibration for `measured`, built on first use and
-    /// memoized (capped at [`QuFem::prepared_memo_cap`] distinct sets,
-    /// shared across clones). Repeat callers of [`QuFem::calibrate`] over
-    /// the same measured set skip the redundant matrix generation and plan
-    /// builds; because plan construction is deterministic, the memoized
-    /// plans calibrate to the exact bits a fresh [`QuFem::prepare`] would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuFem::prepare`] failures.
-    pub fn prepared(&self, measured: &QubitSet) -> Result<Arc<PreparedCalibration>> {
-        if let Some(hit) = self.prepared_memo.lock().expect("prepared memo lock").get(measured) {
-            return Ok(Arc::clone(hit));
-        }
-        // Build outside the lock: preparation can take seconds at scale and
-        // other measured sets should not serialize behind it. If two threads
-        // race on the same set, both build identical plans and the loser's
-        // copy is simply dropped.
-        let built = Arc::new(self.prepare(measured)?);
-        let mut memo = self.prepared_memo.lock().expect("prepared memo lock");
-        if memo.len() >= self.prepared_memo_cap() && !memo.contains_key(measured) {
-            memo.clear();
-        }
-        Ok(Arc::clone(memo.entry(measured.clone()).or_insert(built)))
-    }
-
     /// Calibrates one measured distribution (paper Algorithm 2).
     ///
     /// The result is a quasi-probability distribution; apply
@@ -505,8 +443,7 @@ impl QuFem {
         measured: &QubitSet,
         stats: &mut EngineStats,
     ) -> Result<ProbDist> {
-        let prepared = self.prepared(measured)?;
-        prepared.apply_with_stats(dist, stats)
+        self.prepare(measured)?.apply_with_stats(dist, stats)
     }
 
     /// The effective full noise matrix `M_eff = M_1 · M_2 · … · M_L` that
@@ -773,54 +710,6 @@ impl PreparedCalibration {
         ExecArena::with_shards(parallel::configured_threads())
     }
 
-    /// Calibrates a batch of distributions in parallel with scoped threads.
-    ///
-    /// The prepared matrices are shared read-only across workers; results
-    /// come back in input order. `threads` of 0 or 1 degrades to the
-    /// sequential path. Engine statistics from all workers are merged into
-    /// `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error encountered (width mismatches).
-    pub fn apply_batch(
-        &self,
-        dists: &[ProbDist],
-        threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<ProbDist>> {
-        if threads <= 1 || dists.len() <= 1 {
-            return dists.iter().map(|d| self.apply_with_stats(d, stats)).collect();
-        }
-        let chunk_size = dists.len().div_ceil(threads);
-        let chunk_results: Vec<Result<(Vec<ProbDist>, EngineStats)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = dists
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            let mut local_stats = EngineStats::default();
-                            let outs: Result<Vec<ProbDist>> = chunk
-                                .iter()
-                                .map(|d| self.apply_with_stats(d, &mut local_stats))
-                                .collect();
-                            outs.map(|o| (o, local_stats))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-            .expect("calibration workers never panic");
-
-        let mut results = Vec::with_capacity(dists.len());
-        for chunk in chunk_results {
-            let (outs, local_stats) = chunk?;
-            stats.merge(&local_stats);
-            results.extend(outs);
-        }
-        Ok(results)
-    }
-
     /// Number of calibration iterations.
     pub fn n_iterations(&self) -> usize {
         self.plans.len()
@@ -891,36 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_calibration_matches_sequential() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let dists: Vec<ProbDist> = (0..6u64)
-            .map(|seed| {
-                let ideal = qufem_circuits::Algorithm::Qsvm.ideal_distribution(7, seed);
-                device.measure_distribution(&ideal, &measured, 500, &mut rng)
-            })
-            .collect();
-
-        let mut seq_stats = EngineStats::default();
-        let sequential: Vec<ProbDist> =
-            dists.iter().map(|d| prepared.apply_with_stats(d, &mut seq_stats).unwrap()).collect();
-        let mut par_stats = EngineStats::default();
-        let parallel = prepared.apply_batch(&dists, 3, &mut par_stats).unwrap();
-
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.sorted_pairs(), b.sorted_pairs());
-        }
-        // The crossbeam path merges one EngineStats per worker; every field
-        // (counters, per-level census, peak support) must equal the
-        // sequential accumulation exactly — merge order must not matter.
-        assert_eq!(seq_stats, par_stats);
-    }
-
-    #[test]
     fn sharded_apply_matches_sequential_bit_for_bit() {
         let device = presets::ibmq_7(1);
         let qufem = QuFem::characterize(&device, fast_config()).unwrap();
@@ -950,32 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_with_single_thread_degrades_gracefully() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let ideal = qufem_circuits::ghz(7);
-        let noisy = device.measure_distribution(&ideal, &measured, 500, &mut rng);
-        let mut stats = EngineStats::default();
-        let out = prepared.apply_batch(std::slice::from_ref(&noisy), 0, &mut stats).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sorted_pairs(), prepared.apply(&noisy).unwrap().sorted_pairs());
-    }
-
-    #[test]
-    fn batch_propagates_width_errors() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
-        let wrong = ProbDist::point_mass(BitString::zeros(3));
-        let mut stats = EngineStats::default();
-        assert!(prepared.apply_batch(&[wrong], 4, &mut stats).is_err());
-    }
-
-    #[test]
     fn prepared_calibration_reusable_across_distributions() {
         let device = presets::ibmq_7(1);
         let qufem = QuFem::characterize(&device, fast_config()).unwrap();
@@ -991,27 +824,6 @@ mod tests {
             let b = qufem.calibrate(&noisy, &measured).unwrap();
             assert_eq!(a.sorted_pairs(), b.sorted_pairs());
         }
-    }
-
-    #[test]
-    fn prepared_memo_cap_is_tunable_and_shared_across_clones() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        assert_eq!(qufem.prepared_memo_cap(), DEFAULT_PREPARED_MEMO_CAP);
-        let clone = qufem.clone();
-        qufem.set_prepared_memo_cap(2);
-        assert_eq!(clone.prepared_memo_cap(), 2);
-        // Clamped: a zero cap would make the memo useless.
-        qufem.set_prepared_memo_cap(0);
-        assert_eq!(qufem.prepared_memo_cap(), 1);
-        // Cap 1: a second distinct set clears the memo, so re-preparing the
-        // first set yields a fresh (different) Arc.
-        let a: QubitSet = [0usize, 1].into_iter().collect();
-        let b: QubitSet = [2usize, 3].into_iter().collect();
-        let first = qufem.prepared(&a).unwrap();
-        assert!(Arc::ptr_eq(&first, &qufem.prepared(&a).unwrap()));
-        let _ = qufem.prepared(&b).unwrap();
-        assert!(!Arc::ptr_eq(&first, &qufem.prepared(&a).unwrap()));
     }
 
     #[test]

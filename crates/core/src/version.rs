@@ -6,9 +6,9 @@
 //! *which device* a snapshot describes and *which recalibration* produced
 //! it. [`VersionedSnapshot`] wraps a [`BenchmarkSnapshot`] with that
 //! identity — a device id plus a monotonically increasing version number
-//! with parent lineage — so prepared mitigators can be keyed by
-//! `(device, version, method)` instead of built from one ambient snapshot
-//! (see [`crate::mitigate::MitigatorCache`]).
+//! with parent lineage — so method instances and prepared plans can be
+//! keyed by `(device, version, method)` instead of built from one ambient
+//! snapshot (the serve catalog keys its plan cache this way).
 //!
 //! The lineage persists alongside the calibration parameters: exports carry
 //! an optional [`SnapshotLineage`] stamp, and parameter files written before

@@ -4,8 +4,7 @@
 
 use qufem_core::engine::{self, reference, EngineStats};
 use qufem_core::{
-    build_group_matrices, BenchmarkRecord, BenchmarkSnapshot, GroupMatrix, IterationPlan, QuFem,
-    QuFemConfig,
+    build_group_matrices, BenchmarkRecord, BenchmarkSnapshot, GroupMatrix, IterationPlan,
 };
 use qufem_device::BenchmarkCircuit;
 use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
@@ -141,46 +140,6 @@ fn execute_matches_reference_on_multiword_keys() {
     let old = reference::apply_iteration(&dist, &positions, &gms, 1e-5, &mut s_old);
     assert_eq!(s_new, s_old);
     assert_dist_bits_equal(&new, &old, "70-qubit identity workload");
-}
-
-/// `apply_batch` distributes whole distributions over scoped workers. Like
-/// the intra-distribution sharding, it must be invisible in the results:
-/// every output distribution *and* the merged `EngineStats` totals must be
-/// bit-identical at any thread count — including counts that do not divide
-/// the batch (7) and counts exceeding the batch size (16). This is the
-/// guarantee that lets a calibration service pick its parallelism freely
-/// without changing any response.
-#[test]
-fn apply_batch_outputs_and_stats_identical_across_thread_counts() {
-    let device = qufem_device::presets::ibmq_7(5);
-    let config =
-        QuFemConfig::builder().characterization_threshold(5e-4).shots(400).seed(5).build().unwrap();
-    let qufem = QuFem::characterize(&device, config).unwrap();
-    let measured = QubitSet::full(7);
-    let prepared = qufem.prepare(&measured).unwrap();
-
-    // A 12-distribution batch of adversarial quasi-inputs (explicit zeros,
-    // sub-β dust, dense bulk), so pruning and passthrough paths all fire.
-    let mut rng = ChaCha8Rng::seed_from_u64(0xBA7C4);
-    let dists: Vec<ProbDist> =
-        (0..12).map(|_| random_dist(7, rng.gen_range(4usize..=40), &mut rng)).collect();
-
-    let mut baseline_stats = EngineStats::default();
-    let baseline = prepared.apply_batch(&dists, 1, &mut baseline_stats).unwrap();
-    assert_eq!(baseline.len(), dists.len());
-
-    for threads in [2usize, 7, 16] {
-        let mut stats = EngineStats::default();
-        let outputs = prepared.apply_batch(&dists, threads, &mut stats).unwrap();
-        assert_eq!(outputs.len(), baseline.len(), "batch size diverges at {threads} threads");
-        for (i, (a, b)) in baseline.iter().zip(&outputs).enumerate() {
-            assert_dist_bits_equal(a, b, &format!("batch item {i}, {threads} threads"));
-        }
-        // Every field — counters, per-level census, peak support — must
-        // match the sequential accumulation exactly, whatever the worker
-        // chunking and merge order.
-        assert_eq!(stats, baseline_stats, "merged stats diverge at {threads} threads");
-    }
 }
 
 #[test]

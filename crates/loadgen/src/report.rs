@@ -57,12 +57,12 @@ pub struct EventReport {
     pub clients: Vec<usize>,
 }
 
-/// Deterministic sequential model of the per-version plan caches (the real
-/// concurrent hit/miss split races duplicate cold builds, so it lives on
-/// stderr, not here).
+/// Deterministic sequential model of the server's one plan cache, shared
+/// by every device and version (the real concurrent hit/miss split races
+/// duplicate cold builds, so it lives on stderr, not here).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheModel {
-    /// Modeled per-entry capacity (the scenario's `plan_cache`).
+    /// Modeled capacity of the whole cache (the scenario's `plan_cache`).
     pub capacity: usize,
     /// Modeled hits.
     pub hits: u64,

@@ -129,7 +129,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
         prewarm: scenario.prewarm,
         registry: Arc::new(qufem_baselines::standard_registry(startup.config().clone())),
         device_id: scenario.devices[0].id.clone(),
-        prepared_memo_cap: scenario.server.memo_cap,
         frozen_clock: true,
         ..ServeConfig::default()
     };
@@ -541,17 +540,21 @@ fn assemble_report(
     }
 }
 
-/// Deterministic sequential replay of the trace through modeled per-version
-/// LRU plan caches (capacity = the scenario's `plan_cache`). The prewarmed
-/// default plan is pre-seeded without counting, mirroring the server's
-/// startup build happening off the request path.
+/// Deterministic sequential replay of the trace through a model of the
+/// server's one LRU plan cache: keyed `(device, version, method, measured)`,
+/// capacity = the scenario's `plan_cache`, shared by every device and
+/// version, so an admitted version competes with the versions before it for
+/// the same slots. The prewarmed default plan is pre-seeded without
+/// counting, mirroring the server's startup build happening off the request
+/// path.
 fn model_cache(scenario: &Scenario, trace: &Trace) -> CacheModel {
-    type Key = (String, Vec<usize>);
-    let mut caches: HashMap<(usize, u64), Vec<Key>> = HashMap::new();
+    type Key = (usize, u64, String, Vec<usize>);
     let capacity = scenario.server.plan_cache.max(1);
+    // Keys ordered least recently used first.
+    let mut lru: Vec<Key> = Vec::new();
     if scenario.prewarm {
         let full: Vec<usize> = (0..scenario.device_width(0)).collect();
-        caches.insert((0, 0), vec![("qufem".to_string(), full)]);
+        lru.push((0, 0, "qufem".to_string(), full));
     }
     // Head version per device, advanced by admit events at round boundaries.
     let mut head = vec![0u64; scenario.devices.len()];
@@ -569,17 +572,17 @@ fn model_cache(scenario: &Scenario, trace: &Trace) -> CacheModel {
         for client in &trace.per_client {
             for req in &client[(round - 1) * per_round..round * per_round] {
                 let spec = &scenario.tenants[req.tenant];
-                let entry = caches.entry((spec.device, head[spec.device])).or_default();
-                let key: Key = (spec.method.clone(), req.measured.clone());
-                if let Some(pos) = entry.iter().position(|k| *k == key) {
+                let key: Key =
+                    (spec.device, head[spec.device], spec.method.clone(), req.measured.clone());
+                if let Some(pos) = lru.iter().position(|k| *k == key) {
                     hits += 1;
-                    let key = entry.remove(pos);
-                    entry.push(key);
+                    let key = lru.remove(pos);
+                    lru.push(key);
                 } else {
                     misses += 1;
-                    entry.push(key);
-                    if entry.len() > capacity {
-                        entry.remove(0);
+                    lru.push(key);
+                    if lru.len() > capacity {
+                        lru.remove(0);
                     }
                 }
             }
@@ -640,4 +643,75 @@ fn emit_measured(
         }
     }
     latency.quantile(0.99) * 1e3
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qufem_types::ProbDist;
+
+    /// One client, two requests a round; the trace is written by hand so the
+    /// key order is known.
+    fn trace_of(rounds: &[[usize; 2]]) -> Trace {
+        let requests = rounds
+            .iter()
+            .enumerate()
+            .flat_map(|(r, tenants)| {
+                tenants.iter().map(move |&tenant| TraceRequest {
+                    round: r + 1,
+                    client: 0,
+                    tenant,
+                    measured: vec![0, 1, 2],
+                    dist: ProbDist::new(3),
+                })
+            })
+            .collect();
+        Trace { per_client: vec![requests], digest: String::new(), per_tenant: vec![] }
+    }
+
+    #[test]
+    fn an_admit_does_not_hand_the_new_version_fresh_slots() {
+        let scenario = Scenario::parse(
+            r#"
+            name = "shared-slots"
+            rounds = 3
+            clients = 1
+            arrival = "open"
+            burst = 2
+            prewarm = false
+
+            [server]
+            plan_cache = 2
+
+            [[devices]]
+            id = "a"
+            preset = "grid-3"
+
+            [[devices]]
+            id = "b"
+            preset = "grid-3"
+
+            [[tenants]]
+            name = "on-a"
+            device = "a"
+
+            [[tenants]]
+            name = "on-b"
+            device = "b"
+
+            [[events]]
+            round = 2
+            kind = "admit-drift"
+            device = "a"
+            drift_step = 1
+            "#,
+        )
+        .unwrap();
+        // Round 1 fills both slots (b@0, then a@0). The admit makes a@1 the
+        // head: its first plan evicts the least recently used entry, b@0,
+        // while the stale a@0 keeps a slot, so b's next request misses too.
+        let model = model_cache(&scenario, &trace_of(&[[1, 0], [0, 1], [0, 1]]));
+        assert_eq!(model.capacity, 2);
+        assert_eq!((model.hits, model.misses), (2, 4));
+    }
 }

@@ -104,11 +104,9 @@ pub struct ServerSpec {
     /// never shed load (a rejection would be a racy, nondeterministic
     /// outcome).
     pub queue_depth: usize,
-    /// Prepared-plan cache capacity per version entry.
+    /// Capacity of the server's one prepared-plan cache, shared by every
+    /// device and version.
     pub plan_cache: usize,
-    /// Optional prepared-memo cap override (see
-    /// `qufem_serve::ServeConfig::prepared_memo_cap`).
-    pub memo_cap: Option<usize>,
 }
 
 /// One hosted device: a preset characterized once at startup.
@@ -273,7 +271,6 @@ impl Scenario {
             workers: opt_usize(server_table, "server", "workers", 2)?,
             queue_depth: opt_usize(server_table, "server", "queue_depth", clients + 8)?,
             plan_cache: opt_usize(server_table, "server", "plan_cache", 8)?,
-            memo_cap: opt_opt_usize(server_table, "server", "memo_cap")?,
         };
         if server.queue_depth < clients {
             return Err(Error::new(format!(
@@ -518,14 +515,6 @@ fn opt_usize(t: &TomlTable, ctx: &str, key: &str, default: usize) -> Result<usiz
     opt_u64(t, ctx, key, default as u64).map(|n| n as usize)
 }
 
-fn opt_opt_usize(t: &TomlTable, ctx: &str, key: &str) -> Result<Option<usize>> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(TomlValue::Int(n)) if *n >= 0 => Ok(Some(*n as usize)),
-        Some(other) => Err(type_err(ctx, key, "non-negative integer", other)),
-    }
-}
-
 fn opt_f64(t: &TomlTable, ctx: &str, key: &str, default: f64) -> Result<f64> {
     match t.get(key) {
         Some(TomlValue::Float(f)) => Ok(*f),
@@ -610,7 +599,6 @@ mod tests {
             [server]
             workers = 4
             plan_cache = 4
-            memo_cap = 2
 
             [[devices]]
             id = "a"

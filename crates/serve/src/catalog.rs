@@ -1,6 +1,6 @@
-//! Device catalog: device id → version lineage → per-version prepared
-//! state, with atomic hot-swap of recalibrated snapshots under live
-//! traffic.
+//! Device catalog: device id → version lineage → per-version method
+//! instances, plus one prepared-plan cache for the whole catalog, with
+//! atomic hot-swap of recalibrated snapshots under live traffic.
 //!
 //! The paper treats a characterization as a device-level artifact with a
 //! validity window — readout noise drifts, so a fleet recalibrates
@@ -8,48 +8,61 @@
 //! device carries a monotone version lineage of [`VersionedSnapshot`]s, and
 //! **admitting** a recalibration publishes it as the device's new head
 //! without pausing traffic. Resolution clones an `Arc` under a read lock,
-//! so in-flight requests keep the entry (and every prepared plan hanging
-//! off it) they resolved; superseded versions stay resolvable for
-//! version-pinned clients and drain naturally once the last `Arc` drops.
+//! so in-flight requests keep the entry they resolved, and the prepared
+//! plan they hold stays alive until their apply finishes.
+//!
+//! Superseded versions are **not** drained: every admitted version stays in
+//! its device's lineage, resolvable by version-pinned clients, together
+//! with the method instances built for it (including the admitted `QuFem`),
+//! until the catalog is dropped at shutdown. Only their prepared plans are
+//! bounded: all devices and versions share the one [`PlanCache`] and its
+//! single cap, so an unused version's plans age out of it.
 //!
 //! Determinism is preserved across swaps: a request pinned to
 //! `(device, version)` is served from that exact snapshot's prepared plans
 //! — bit-identical before, during, and after any number of admissions.
 
 use crate::cache::PlanCache;
-use qufem_core::MethodRegistry;
-use qufem_core::{MitigatorCache, QuFem, VersionedSnapshot, DEFAULT_DEVICE_ID};
+use qufem_core::{
+    MethodOptions, MethodRegistry, Mitigator, PreparedMitigator, QuFem, VersionedSnapshot,
+    DEFAULT_DEVICE_ID,
+};
 use qufem_types::{Error, QubitSet, Result};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One published calibration of one device: the versioned snapshot plus the
-/// prepared-plan cache scoped to it.
+/// method instances built from it.
 ///
-/// Entries are immutable once published (the plan cache fills lazily but
+/// Entries are immutable once published (the method map fills lazily but
 /// its contents are deterministic functions of the snapshot), so an `Arc`
 /// held across a hot-swap keeps serving exactly the bits it resolved.
 #[derive(Debug)]
 pub struct VersionEntry {
     snapshot: VersionedSnapshot,
     full_register: QubitSet,
-    /// Prepared plans for this `(device, version)`, keyed by
-    /// `(method, measured set)`. Per-entry so a hot-swap starts cold
-    /// without evicting the plans pinned clients still use.
-    cache: PlanCache,
+    /// Method instances for this version by method id, seeded with the
+    /// exact `"qufem"` instance the entry was created from.
+    methods: Mutex<HashMap<String, Arc<dyn Mitigator>>>,
     /// Characterization iterations in the underlying calibrator (surfaced
     /// by the `status` command).
     iterations: usize,
 }
 
 impl VersionEntry {
-    fn new(snapshot: VersionedSnapshot, plan_cache_capacity: usize, iterations: usize) -> Self {
+    /// Seeds the `"qufem"` method with `qufem` itself — never a registry
+    /// rebuild — so its responses match the instance bit for bit. The seed
+    /// happens here, before the entry can be published, so a racing
+    /// request at this version can never build `"qufem"` itself.
+    fn new(snapshot: VersionedSnapshot, qufem: QuFem) -> Self {
         let full_register = QubitSet::full(snapshot.n_qubits());
+        let iterations = qufem.iterations().len();
+        let seeded: Arc<dyn Mitigator> = Arc::new(qufem);
         VersionEntry {
             snapshot,
             full_register,
-            cache: PlanCache::new(plan_cache_capacity),
+            methods: Mutex::new(HashMap::from([("qufem".to_string(), seeded)])),
             iterations,
         }
     }
@@ -74,14 +87,38 @@ impl VersionEntry {
         &self.full_register
     }
 
-    /// The prepared-plan cache scoped to this entry.
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
     /// Characterization iterations in the underlying calibrator.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// The instance serving `method` at this version, built through
+    /// `registry` (default options) on first use.
+    ///
+    /// Construction is deterministic, so concurrent first uses may race:
+    /// the build happens outside the lock and the first insert wins, which
+    /// keeps every request on one shared instance per method.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MethodRegistry::build`] failures (unknown id,
+    /// constructor errors); failures are not cached.
+    pub(crate) fn mitigator(
+        &self,
+        method: &str,
+        registry: &MethodRegistry,
+    ) -> Result<Arc<dyn Mitigator>> {
+        if let Some(hit) = self.methods.lock().expect("method map lock").get(method) {
+            return Ok(Arc::clone(hit));
+        }
+        let fresh = registry.build(method, self.snapshot.snapshot(), &MethodOptions::new())?;
+        let mut methods = self.methods.lock().expect("method map lock");
+        Ok(Arc::clone(methods.entry(method.to_string()).or_insert(fresh)))
+    }
+
+    /// Number of method instances built for this version.
+    pub(crate) fn method_count(&self) -> usize {
+        self.methods.lock().expect("method map lock").len()
     }
 }
 
@@ -103,9 +140,9 @@ pub struct DeviceSummary {
     pub head_version: u64,
     /// Retained (pinnable) versions, ascending.
     pub versions: Vec<u64>,
-    /// Prepared plans cached across this device's retained versions.
+    /// Prepared plans of this device (any version) in the catalog's cache.
     pub plan_cache_len: usize,
-    /// Instantiated `(version, method)` mitigators for this device.
+    /// Instantiated `(version, method)` mitigators, summed over versions.
     pub method_cache_len: usize,
 }
 
@@ -135,8 +172,9 @@ impl ResolveError {
     }
 }
 
-/// The serving catalog: every device's version lineage, plus one
-/// [`MitigatorCache`] of method instances keyed `(device, version, method)`.
+/// The serving catalog: every device's version lineage, plus the one
+/// [`PlanCache`] of prepared plans keyed `(device, version, method,
+/// measured set)` under a single cap.
 ///
 /// Reads (request routing) take a shared lock and clone an `Arc`;
 /// admissions take the exclusive lock only to assign a version number and
@@ -146,9 +184,10 @@ impl ResolveError {
 #[derive(Debug)]
 pub struct Catalog {
     devices: RwLock<BTreeMap<Arc<str>, DeviceState>>,
-    mitigators: MitigatorCache,
+    /// Builds the non-seeded methods of each version.
+    registry: Arc<MethodRegistry>,
+    plans: PlanCache,
     default_device: Arc<str>,
-    plan_cache_capacity: usize,
     /// Next global admission sequence number (the root entry takes 0).
     next_seq: AtomicU64,
     /// Serializes admissions end-to-end (seed + publish) without blocking
@@ -174,20 +213,17 @@ impl Catalog {
             .map(|it| it.snapshot_arc())
             .unwrap_or_else(|| Arc::new(qufem_core::BenchmarkSnapshot::new(qufem.n_qubits())));
         let root = VersionedSnapshot::root(device_id, snapshot);
-        let mitigators = MitigatorCache::new(registry);
-        let iterations = qufem.iterations().len();
-        mitigators.seed(&root, "qufem", Arc::new(qufem));
         let default_device = root.device_id_arc();
-        let entry = Arc::new(VersionEntry::new(root, plan_cache_capacity, iterations));
+        let entry = Arc::new(VersionEntry::new(root, qufem));
         let mut versions = BTreeMap::new();
         versions.insert(0, entry);
         let mut devices = BTreeMap::new();
         devices.insert(Arc::clone(&default_device), DeviceState { head: 0, versions });
         Catalog {
             devices: RwLock::new(devices),
-            mitigators,
+            registry,
+            plans: PlanCache::new(plan_cache_capacity),
             default_device,
-            plan_cache_capacity,
             next_seq: AtomicU64::new(1),
             admit_lock: Mutex::new(()),
         }
@@ -198,14 +234,30 @@ impl Catalog {
         Arc::clone(&self.default_device)
     }
 
-    /// The method-instance cache shared across the catalog.
-    pub fn mitigators(&self) -> &MitigatorCache {
-        &self.mitigators
+    /// Maximum prepared plans the whole catalog keeps hot.
+    pub fn plan_cache_capacity(&self) -> usize {
+        self.plans.capacity()
     }
 
-    /// Maximum prepared plans each version entry keeps hot.
-    pub fn plan_cache_capacity(&self) -> usize {
-        self.plan_cache_capacity
+    /// The prepared `method` for `measured` on `entry`, from the plan cache
+    /// or built on a miss; the flag is `true` when this call ran the build.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`VersionEntry::mitigator`] and `prepare` failures.
+    pub(crate) fn prepared(
+        &self,
+        entry: &VersionEntry,
+        method: &str,
+        measured: &QubitSet,
+    ) -> Result<(Arc<dyn PreparedMitigator>, bool)> {
+        let mitigator = entry.mitigator(method, &self.registry)?;
+        let mut built = false;
+        let plan = self.plans.get_or_build(entry.snapshot(), method, measured, || {
+            built = true;
+            mitigator.prepare(measured)
+        })?;
+        Ok((plan, built))
     }
 
     /// Resolves a request's `(device, version)` coordinate to the entry
@@ -295,12 +347,9 @@ impl Catalog {
                 VersionedSnapshot::with_lineage(&lineage, snapshot)
             }
         };
-        let iterations = qufem.iterations().len();
-        // Pin the exact admitted instance *before* the entry becomes
-        // resolvable: a racing request at the new version must never fall
-        // back to a registry rebuild of "qufem".
-        self.mitigators.seed(&versioned, "qufem", Arc::new(qufem));
-        let entry = Arc::new(VersionEntry::new(versioned, self.plan_cache_capacity, iterations));
+        // The entry carries the exact admitted instance as "qufem" before
+        // it becomes resolvable.
+        let entry = Arc::new(VersionEntry::new(versioned, qufem));
         let mut devices = self.devices.write().expect("catalog write lock");
         let state = devices
             .entry(entry.snapshot().device_id_arc())
@@ -319,8 +368,8 @@ impl Catalog {
                 device: id.to_string(),
                 head_version: state.head,
                 versions: state.versions.keys().copied().collect(),
-                plan_cache_len: state.versions.values().map(|e| e.plan_cache().len()).sum(),
-                method_cache_len: self.mitigators.device_occupancy(id),
+                plan_cache_len: self.plans.device_len(id),
+                method_cache_len: state.versions.values().map(|e| e.method_count()).sum(),
             })
             .collect()
     }
@@ -330,22 +379,9 @@ impl Catalog {
         self.devices.read().expect("catalog read lock").len()
     }
 
-    /// Aggregate plan-cache `(len, hits, misses)` across every retained
-    /// version of every device.
+    /// Plan-cache `(len, hits, misses)` across every device and version.
     pub fn plan_cache_totals(&self) -> (usize, u64, u64) {
-        let devices = self.devices.read().expect("catalog read lock");
-        let mut len = 0;
-        let mut hits = 0;
-        let mut misses = 0;
-        for state in devices.values() {
-            for entry in state.versions.values() {
-                len += entry.plan_cache().len();
-                let (h, m) = entry.plan_cache().stats();
-                hits += h;
-                misses += m;
-            }
-        }
-        (len, hits, misses)
+        self.plans.totals()
     }
 }
 
@@ -448,16 +484,52 @@ mod tests {
     }
 
     #[test]
-    fn admitted_instance_is_pinned_as_the_qufem_method() {
+    fn admitted_instance_is_served_as_the_qufem_method() {
         let catalog = Catalog::new(characterized(1), "ibmq-7", Arc::new(MethodRegistry::new()), 4);
         let recal = characterized(2);
         let imported = VersionedSnapshot::root("ibmq-7", recal.iterations()[0].snapshot_arc());
         let entry = catalog.admit(recal, &imported, None).unwrap();
-        // The registry is empty, so only a seeded instance can satisfy
-        // "qufem" — get_or_build must return it rather than erroring.
-        let m = catalog.mitigators().get_or_build(entry.snapshot(), "qufem").unwrap();
-        let m2 = catalog.mitigators().get_or_build(entry.snapshot(), "qufem").unwrap();
-        assert!(Arc::ptr_eq(&m, &m2));
-        assert_eq!(catalog.mitigators().device_occupancy("ibmq-7"), 2);
+        // The registry is empty, so only the seeded instance can satisfy
+        // "qufem": the lookup must return it rather than erroring.
+        let empty = MethodRegistry::new();
+        let m = entry.mitigator("qufem", &empty).unwrap();
+        assert!(Arc::ptr_eq(&m, &entry.mitigator("qufem", &empty).unwrap()));
+        let v0 = catalog.resolve(None, Some(0)).unwrap();
+        assert!(!Arc::ptr_eq(&m, &v0.mitigator("qufem", &empty).unwrap()), "one per version");
+        assert!(entry.mitigator("m3", &empty).is_err(), "unknown methods are not cached");
+        assert_eq!(catalog.summaries()[0].method_cache_len, 2, "one seeded instance per version");
+    }
+
+    #[test]
+    fn each_version_and_method_shares_one_instance() {
+        let builds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut registry = MethodRegistry::new();
+        let counter = Arc::clone(&builds);
+        registry.register("counted", move |snapshot, _| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let config = QuFemConfig::builder().characterization_threshold(5e-4).build()?;
+            Ok(Arc::new(QuFem::from_snapshot(snapshot.clone(), config)?) as Arc<dyn Mitigator>)
+        });
+        let catalog = Catalog::new(characterized(1), "ibmq-7", Arc::new(registry), 4);
+        let recal = characterized(2);
+        let imported = VersionedSnapshot::root("ibmq-7", recal.iterations()[0].snapshot_arc());
+        let v1 = catalog.admit(recal, &imported, None).unwrap();
+        let v0 = catalog.resolve(None, Some(0)).unwrap();
+        let full = QubitSet::full(7);
+        let (a, built_a) = catalog.prepared(&v0, "counted", &full).unwrap();
+        let (b, built_b) = catalog.prepared(&v0, "counted", &full).unwrap();
+        assert!(built_a && !built_b, "the second request hits the plan cache");
+        assert!(Arc::ptr_eq(&a, &b));
+        let m = v0.mitigator("counted", &MethodRegistry::new()).unwrap();
+        assert!(Arc::ptr_eq(&m, &v0.mitigator("counted", &MethodRegistry::new()).unwrap()));
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one instance per (version, method)");
+        // Another version is a distinct instance and a distinct plan.
+        let (c, built_c) = catalog.prepared(&v1, "counted", &full).unwrap();
+        assert!(built_c && !Arc::ptr_eq(&a, &c));
+        assert_eq!(builds.load(Ordering::SeqCst), 2);
+        let summary = &catalog.summaries()[0];
+        assert_eq!(summary.method_cache_len, 4, "qufem + counted at each of two versions");
+        assert_eq!(summary.plan_cache_len, 2);
+        assert_eq!(catalog.plan_cache_totals(), (2, 1, 2));
     }
 }

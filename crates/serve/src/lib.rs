@@ -5,10 +5,10 @@
 //! computed it calibrates arbitrarily many programs' outputs (Eq. 7, §3.2).
 //! This crate serves that artifact over TCP so clients do not have to link
 //! the library or re-run characterization: a [`Server`] holds a [`Catalog`]
-//! of devices — each a lineage of versioned snapshots with a per-version
-//! LRU cache of prepared mitigations keyed by `(method, measured qubit
-//! set)` and a [`qufem_core::MethodRegistry`] of alternative methods —
-//! and answers newline-delimited JSON requests from a bounded worker pool —
+//! of devices — each a lineage of versioned snapshots, with a
+//! [`qufem_core::MethodRegistry`] of alternative methods and one LRU cache
+//! of prepared mitigations keyed by `(device, version, method, measured
+//! qubit set)` — and answers newline-delimited JSON requests from a bounded worker pool —
 //! or, negotiated per connection by the first byte, length-prefixed binary
 //! frames that pipeline freely and pack distributions bit-exactly
 //! (see [`wire`] and DESIGN §4.18).

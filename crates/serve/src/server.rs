@@ -48,10 +48,11 @@
 //! ([`qufem_core::PreparedMitigator::apply_sharded`]), whose output is
 //! bit-identical to the sequential in-process result at any
 //! `QUFEM_THREADS` setting for every method (the baselines are sequential
-//! by construction), and preparations are cached per `(method, measured
-//! set)` ([`PlanCache`]) — so a response is byte-for-byte reproducible no
-//! matter which worker serves it, which dialect carried it, how many
-//! clients are connected, or whether the preparation was cached.
+//! by construction), and preparations are cached per `(device, version,
+//! method, measured set)` ([`PlanCache`]) — so a response is byte-for-byte
+//! reproducible no matter which worker serves it, which dialect carried
+//! it, how many clients are connected, or whether the preparation was
+//! cached.
 
 use crate::catalog::{Catalog, VersionEntry};
 use crate::observability::{CacheOutcome, RequestCmd, RequestOutcome, RequestRecord, ServeMetrics};
@@ -86,7 +87,9 @@ pub struct ServeConfig {
     /// Idle time after which a connection with no request in flight is
     /// closed.
     pub read_timeout: Option<Duration>,
-    /// Prepared-plan LRU capacity (distinct measured sets kept hot).
+    /// Capacity of the catalog's one prepared-plan LRU: distinct
+    /// `(device, version, method, measured set)` plans kept hot across the
+    /// whole catalog.
     pub plan_cache_capacity: usize,
     /// Build the default method's full-register preparation on a background
     /// thread at startup, so the first full-register request finds it
@@ -113,15 +116,6 @@ pub struct ServeConfig {
     /// 0 of this device; empty ⇒ `"default"`). Requests that name no
     /// device resolve here.
     pub device_id: String,
-    /// Override for the served instances' prepared-memo capacity
-    /// ([`QuFem::set_prepared_memo_cap`]); applied to the startup instance
-    /// and to every admitted one. `None` keeps
-    /// [`qufem_core::DEFAULT_PREPARED_MEMO_CAP`]. Size it roughly as
-    /// distinct measured sets per tenant × tenants sharing one instance —
-    /// the serve-side [`crate::PlanCache`] (see
-    /// [`ServeConfig::plan_cache_capacity`]) sits in front of it, so this
-    /// only matters for bypass builds and in-process sharing.
-    pub prepared_memo_cap: Option<usize>,
     /// Deterministic-clock mode for replay harnesses (`qufem-loadgen`):
     /// every recorded duration (`queue_us`, `prepare_us`, `apply_us`,
     /// `serialize_us`, `total_us`) is reported as 0, completion timestamps
@@ -139,7 +133,7 @@ impl Default for ServeConfig {
             queue_depth: 64,
             max_request_bytes: 8 << 20,
             read_timeout: Some(Duration::from_secs(30)),
-            plan_cache_capacity: 8,
+            plan_cache_capacity: 32,
             prewarm: true,
             registry: Arc::new(MethodRegistry::new()),
             default_method: "qufem".to_string(),
@@ -147,7 +141,6 @@ impl Default for ServeConfig {
             slow_threshold: None,
             access_log: false,
             device_id: DEFAULT_DEVICE_ID.to_string(),
-            prepared_memo_cap: None,
             frozen_clock: false,
         }
     }
@@ -156,10 +149,10 @@ impl Default for ServeConfig {
 /// Shared server state.
 #[derive(Debug)]
 struct Inner {
-    /// Device catalog: every served device's version lineage, the
-    /// `(device, version, method)` mitigator cache, and per-version
-    /// prepared-plan caches. The startup [`QuFem`] is version 0 of
-    /// [`ServeConfig::device_id`]; `admit` publishes new versions.
+    /// Device catalog: every served device's version lineage, the method
+    /// instances of each version, and the one prepared-plan cache. The
+    /// startup [`QuFem`] is version 0 of [`ServeConfig::device_id`];
+    /// `admit` publishes new versions.
     catalog: Catalog,
     metrics: ServeMetrics,
     config: ServeConfig,
@@ -316,9 +309,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        if let Some(cap) = config.prepared_memo_cap {
-            qufem.set_prepared_memo_cap(cap);
-        }
         // The startup instance becomes version 0 of the configured device,
         // pinned as method "qufem" — never a registry rebuild — so its wire
         // responses match its in-process prepare + apply bit for bit.
@@ -358,12 +348,7 @@ impl Server {
                     let _span = qufem_telemetry::span!("serve.prewarm");
                     let id = inner.config.default_method.clone();
                     let Ok(entry) = inner.catalog.resolve(None, None) else { return };
-                    let full = entry.full_register().clone();
-                    let warmed =
-                        inner.catalog.mitigators().get_or_build(entry.snapshot(), &id).and_then(
-                            |m| entry.plan_cache().get_or_build(&id, &full, || m.prepare(&full)),
-                        );
-                    if warmed.is_ok() {
+                    if inner.catalog.prepared(&entry, &id, entry.full_register()).is_ok() {
                         inner.prewarmed.store(true, Ordering::SeqCst);
                     }
                 })
@@ -1131,7 +1116,7 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
     let prepare_start = Instant::now();
     let prepared = match request.options.filter(|o| !o.is_empty()) {
         // Per-request option overrides: rebuild the method for this request
-        // alone, bypassing the mitigator cache and the plan cache
+        // alone, bypassing the version's method map and the plan cache
         // (overridden builds must not shadow the defaults other clients
         // see).
         Some(options) => {
@@ -1142,20 +1127,10 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
                 .build(method_id, entry.snapshot().snapshot(), &options)
                 .and_then(|m| m.prepare(&measured))
         }
-        None => {
-            let mut built = false;
-            let result =
-                inner.catalog.mitigators().get_or_build(entry.snapshot(), method_id).and_then(
-                    |m| {
-                        entry.plan_cache().get_or_build(method_id, &measured, || {
-                            built = true;
-                            m.prepare(&measured)
-                        })
-                    },
-                );
+        None => inner.catalog.prepared(&entry, method_id, &measured).map(|(plan, built)| {
             rec.cache = if built { CacheOutcome::Miss } else { CacheOutcome::Hit };
-            result
-        }
+            plan
+        }),
     };
     rec.prepare_us = prepare_start.elapsed().as_micros() as u64;
     let prepared = match prepared {
@@ -1208,9 +1183,6 @@ fn admit(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Response {
         Err(e) => return Response::err(format!("admit rejected: {e}")),
     };
     let (qufem, versioned) = imported;
-    if let Some(cap) = inner.config.prepared_memo_cap {
-        qufem.set_prepared_memo_cap(cap);
-    }
     match inner.catalog.admit(qufem, &versioned, request.device.as_deref()) {
         Ok(entry) => {
             inner.metrics.record_swap();

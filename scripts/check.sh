@@ -53,8 +53,12 @@ echo "==> QUFEM_THREADS matrix: catalog hot-swap must stay bit-identical"
 for t in 1 4; do
   echo "==> QUFEM_THREADS=$t catalog unit tests"
   QUFEM_THREADS="$t" cargo test -q -p qufem-serve catalog
+  echo "==> QUFEM_THREADS=$t plan cache unit tests"
+  QUFEM_THREADS="$t" cargo test -q -p qufem-serve --lib cache::
+  echo "==> QUFEM_THREADS=$t every plan-cache miss is a real build"
+  QUFEM_THREADS="$t" cargo test -q -p qufem-serve --test plan_cache_builds
   echo "==> QUFEM_THREADS=$t hot-swap differential and concurrency tests"
-  QUFEM_THREADS="$t" cargo test -q --test serve_observability -- hot_swap version_pinned unknown_devices
+  QUFEM_THREADS="$t" cargo test -q --test serve_observability -- hot_swap version_pinned unknown_devices one_plan_cache
   echo "==> QUFEM_THREADS=$t versioned persistence robustness"
   QUFEM_THREADS="$t" cargo test -q -p qufem-core --test persist_robustness
   echo "==> QUFEM_THREADS=$t end-to-end admit CLI walkthrough"

@@ -10,9 +10,9 @@
 //! qufem calibrate    --device quafu-18 --out calibrated.json [--algorithm ghz] [--shots 2000]
 //! qufem inspect      --params params.json
 //! qufem serve        --params params.json [--addr 127.0.0.1:0] [--workers 4]
-//!        [--queue-depth 64] [--max-request-bytes N] [--plan-cache 8] [--method qufem]
+//!        [--queue-depth 64] [--max-request-bytes N] [--plan-cache 32] [--method qufem]
 //!        [--flight-recorder 256] [--slow-ms 50] [--access-log] [--device-id ibmq-a]
-//!        [--memo-cap 32] [--telemetry run.json]
+//!        [--telemetry run.json]
 //! qufem admit        --addr HOST:PORT --params recal.json [--device ibmq-a]
 //! qufem client       --addr HOST:PORT --input noisy.json --out calibrated.json
 //!        [--measured 0,1,2] [--method m3] [--device ibmq-a] [--version 2]
@@ -74,7 +74,7 @@ fn usage() -> ! {
          qufem serve --params <params.json> | --device <preset> [--addr 127.0.0.1:0] \
          [--workers N] [--queue-depth N] [--max-request-bytes N] [--plan-cache N] \
          [--method M] [--flight-recorder N] [--slow-ms MS] [--access-log] \
-         [--device-id ID] [--memo-cap N] [--telemetry <run.json>]\n  \
+         [--device-id ID] [--telemetry <run.json>]\n  \
          qufem admit --addr <host:port> --params <recal.json> [--device ID]\n  \
          qufem client --addr <host:port> --input <dist.json> --out <out.json> \
          [--measured 0,1,2] [--method M] [--device ID] [--version V] \
@@ -393,9 +393,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
             if let Some(v) = get("device-id") {
                 serve_config.device_id = v;
-            }
-            if let Some(v) = get("memo-cap") {
-                serve_config.prepared_memo_cap = Some(v.parse()?);
             }
             let qufem = match get("params") {
                 Some(params_path) => {

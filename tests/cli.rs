@@ -570,8 +570,6 @@ fn admit_hot_swaps_a_recalibration_into_a_running_server() {
             "2",
             "--device-id",
             "ibmq-a",
-            "--memo-cap",
-            "16",
         ])
         .stderr(std::process::Stdio::piped())
         .spawn()

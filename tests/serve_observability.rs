@@ -419,6 +419,52 @@ fn version_pinned_responses_are_bit_identical_across_hot_swap() {
 }
 
 #[test]
+fn one_plan_cache_cap_binds_every_version_across_an_admit() {
+    let (device, qufem) = characterized();
+    let config = ServeConfig { plan_cache_capacity: 2, ..test_config() };
+    let server = Server::start(qufem, "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let sets = [vec![0, 1], vec![2, 3], vec![4, 5]];
+    // Total cached plans, read from both the top-level count and the
+    // per-device breakdown; neither may ever pass the one cap.
+    let cached = |client: &mut Client| -> usize {
+        let status = client.request(&Request::status()).unwrap().status.expect("status");
+        let per_device: usize = status.devices.iter().map(|d| d.plan_cache_len).sum();
+        assert_eq!(per_device, status.plan_cache_len);
+        assert!(status.plan_cache_len <= 2, "{per_device} plans cached under a cap of 2");
+        status.plan_cache_len
+    };
+    let calibrate = |client: &mut Client, measured: &Vec<usize>, version: Option<u64>| {
+        let mut request =
+            Request::calibrate(noisy_input(&device, measured, 7), Some(measured.clone()));
+        if let Some(v) = version {
+            request = request.with_version(v);
+        }
+        let response = client.request(&request).unwrap();
+        assert!(response.ok, "{:?}", response.error);
+        response.version
+    };
+
+    for measured in &sets {
+        assert_eq!(calibrate(&mut client, measured, None), Some(0));
+        cached(&mut client);
+    }
+    let response = client.request(&Request::admit(recalibrated_params(&device, 1))).unwrap();
+    assert!(response.ok, "{:?}", response.error);
+    // Traffic to the new head and to the pinned old version share two slots.
+    for measured in &sets {
+        assert_eq!(calibrate(&mut client, measured, None), Some(1));
+        cached(&mut client);
+        assert_eq!(calibrate(&mut client, measured, Some(0)), Some(0));
+        assert_eq!(cached(&mut client), 2);
+    }
+    let metrics = client.request(&Request::metrics()).unwrap().metrics.expect("metrics");
+    assert_eq!((metrics.plan_cache_len, metrics.plan_cache_capacity), (2, 2));
+
+    server.shutdown_and_join();
+}
+
+#[test]
 fn unknown_devices_and_versions_are_rejected_and_counted() {
     let (device, qufem) = characterized();
     let server = Server::start(qufem, "127.0.0.1:0", test_config()).unwrap();
